@@ -19,6 +19,7 @@ import (
 
 	"rcoal/internal/gpusim/mem"
 	"rcoal/internal/metrics"
+	"rcoal/internal/ringbuf"
 )
 
 // Timing holds the GDDR5 timing parameters in memory-clock cycles
@@ -89,15 +90,19 @@ type bankState struct {
 
 // Controller is one memory partition's FR-FCFS controller.
 type Controller struct {
-	timing   Timing
-	addrMap  mem.AddressMap
-	banks    []bankState
-	queue    []queued       // arrival order preserved (FCFS component)
-	pending  []*mem.Request // scheduled, waiting for data return
-	busFree  int64          // shared data bus availability
-	lastAct  int64          // most recent activate, for tRRD
+	timing  Timing
+	addrMap mem.AddressMap
+	banks   []bankState
+	queue   []queued // arrival order preserved (FCFS component)
+	// pending holds the scheduled requests awaiting data return, in
+	// scheduling order. Every column command waits for the data bus
+	// and then holds it for Burst >= 1 cycles, so Done strictly
+	// increases along the queue: the head is the earliest completion
+	// and the completed requests are always a prefix.
+	pending  ringbuf.Ring[*mem.Request]
+	busFree  int64 // shared data bus availability
+	lastAct  int64 // most recent activate, for tRRD
 	queueCap int
-	minDone  int64          // earliest completion among pending requests
 	doneBuf  []*mem.Request // reused by Tick; valid until the next Tick
 
 	// stallArmed/stallAfter are the fault-injection seam (see
@@ -198,7 +203,7 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 
 // InFlight returns the number of scheduled requests whose data has not
 // returned yet.
-func (c *Controller) InFlight() int { return len(c.pending) }
+func (c *Controller) InFlight() int { return c.pending.Len() }
 
 // Tick advances the controller to cycle now: it schedules at most one
 // request (FR-FCFS: the oldest row-hit if any, otherwise the oldest
@@ -246,15 +251,15 @@ func (c *Controller) schedule(now int64) {
 	var colCmd int64
 	if b.openRow == loc.Row {
 		// Row hit: column command when the bank and bus allow.
-		colCmd = maxi64(now, b.nextCol, c.busFree)
+		colCmd = max(now, b.nextCol, c.busFree)
 		b.rowHits++
 		c.Stats.RowHits++
 	} else {
 		// Row miss/conflict: precharge (respecting tRAS) + activate
 		// (respecting tRC and tRRD) + tRCD before the column command.
-		act := maxi64(now, b.nextAct, c.lastAct+int64(c.timing.RRD))
+		act := max(now, b.nextAct, c.lastAct+int64(c.timing.RRD))
 		if b.openRow >= 0 {
-			act = maxi64(act, b.nextPre+int64(c.timing.RP))
+			act = max(act, b.nextPre+int64(c.timing.RP))
 			b.rowConfl++
 			c.Stats.RowConflicts++
 		}
@@ -262,9 +267,12 @@ func (c *Controller) schedule(now int64) {
 		b.nextAct = act + int64(c.timing.RC)
 		b.nextPre = act + int64(c.timing.RAS)
 		c.lastAct = act
-		colCmd = maxi64(act+int64(c.timing.RCD), c.busFree)
+		colCmd = max(act+int64(c.timing.RCD), c.busFree)
 		b.rowMiss++
 		c.Stats.RowMisses++
+	}
+	if colCmd < c.busFree {
+		panic("dram: column command before the data bus frees breaks the in-flight Done order")
 	}
 	b.nextCol = colCmd + int64(c.timing.CCD)
 	c.busFree = colCmd + int64(c.timing.Burst)
@@ -273,37 +281,25 @@ func (c *Controller) schedule(now int64) {
 	c.Stats.Accesses++
 
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	c.pending = append(c.pending, r)
-	if len(c.pending) == 1 || r.Done < c.minDone {
-		c.minDone = r.Done
-	}
+	c.pending.Push(r)
 }
 
+// collect pops the completed prefix of the in-flight queue, in
+// scheduling order.
 func (c *Controller) collect(now int64) []*mem.Request {
-	if len(c.pending) == 0 || now < c.minDone {
+	if c.pending.Len() == 0 || now < c.pending.Peek().Done {
 		return nil
 	}
 	done := c.doneBuf[:0]
-	kept := c.pending[:0]
-	next := int64(1) << 62
-	for _, r := range c.pending {
-		if r.Done <= now {
-			done = append(done, r)
-		} else {
-			kept = append(kept, r)
-			if r.Done < next {
-				next = r.Done
-			}
-		}
+	for c.pending.Len() > 0 && c.pending.Peek().Done <= now {
+		done = append(done, c.pending.Pop())
 	}
-	c.pending = kept
-	c.minDone = next
 	c.doneBuf = done
 	return done
 }
 
 // Idle reports whether the controller has no queued or in-flight work.
-func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.pending) == 0 }
+func (c *Controller) Idle() bool { return len(c.queue) == 0 && c.pending.Len() == 0 }
 
 // NextEvent returns the earliest cycle strictly after now at which the
 // controller can make progress, or math.MaxInt64 when idle. While
@@ -315,10 +311,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 	if len(c.queue) > 0 {
 		return now + 1
 	}
-	if len(c.pending) == 0 {
+	if c.pending.Len() == 0 {
 		return math.MaxInt64
 	}
-	return c.minDone
+	return c.pending.Peek().Done
 }
 
 // Snapshot is a controller's complete mid-launch state, captured for
@@ -332,7 +328,6 @@ type Snapshot struct {
 	pending []int
 	busFree int64
 	lastAct int64
-	minDone int64
 	stats   Stats
 }
 
@@ -350,13 +345,12 @@ func (c *Controller) Snapshot(intern func(*mem.Request) int) *Snapshot {
 		banks:   append([]bankState(nil), c.banks...),
 		busFree: c.busFree,
 		lastAct: c.lastAct,
-		minDone: c.minDone,
 		stats:   c.Stats,
 	}
 	for _, q := range c.queue {
 		s.queue = append(s.queue, snapQueued{req: intern(q.req), loc: q.loc})
 	}
-	for _, r := range c.pending {
+	for _, r := range c.pending.Snapshot(nil) {
 		s.pending = append(s.pending, intern(r))
 	}
 	return s
@@ -375,13 +369,12 @@ func (c *Controller) Restore(s *Snapshot, req func(int) *mem.Request) {
 	for _, q := range s.queue {
 		c.queue = append(c.queue, queued{req: req(q.req), loc: q.loc})
 	}
-	c.pending = c.pending[:0]
+	c.pending.Reset()
 	for _, i := range s.pending {
-		c.pending = append(c.pending, req(i))
+		c.pending.Push(req(i))
 	}
 	c.busFree = s.busFree
 	c.lastAct = s.lastAct
-	c.minDone = s.minDone
 	c.Stats = s.stats
 }
 
@@ -393,19 +386,8 @@ func (c *Controller) Reset() {
 		c.banks[i] = bankState{openRow: -1}
 	}
 	c.queue = c.queue[:0]
-	c.pending = c.pending[:0]
+	c.pending.Reset()
 	c.busFree = 0
 	c.lastAct = -int64(c.timing.RRD) - 1
-	c.minDone = 0
 	c.Stats = Stats{}
-}
-
-func maxi64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

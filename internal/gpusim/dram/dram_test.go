@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rcoal/internal/gpusim/mem"
+	"rcoal/internal/rng"
 )
 
 func newTestController(t *testing.T, queueCap int) *Controller {
@@ -249,4 +250,171 @@ func TestInjectStall(t *testing.T) {
 	if done, _ := drain(c, 0, 200); len(done) != 0 {
 		t.Fatalf("fully stalled controller serviced %d requests", len(done))
 	}
+}
+
+// refCollector is the linear-scan reference for the controller's
+// in-flight bookkeeping: it records requests in the order the
+// controller schedules them and, each cycle, returns every recorded
+// request whose data has returned, scanning the whole list — the
+// in-flight model before it became a Done-ordered FIFO.
+type refCollector struct {
+	inflight []*mem.Request
+}
+
+func (rc *refCollector) collect(now int64) []*mem.Request {
+	var done []*mem.Request
+	kept := rc.inflight[:0]
+	for _, r := range rc.inflight {
+		if r.Done <= now {
+			done = append(done, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	rc.inflight = kept
+	return done
+}
+
+// TestInFlightFIFOMatchesLinearScan is the property test for the
+// Done-ordered in-flight queue. Random arrival streams (random banks
+// and rows, random gaps, queue caps, an armed stall, a mid-flight
+// Snapshot/Restore into a fresh controller, and cycles on which the
+// caller does not tick, so one Tick can collect several completions)
+// must complete in strictly increasing Done, equal to the linear-scan
+// reference tick by tick, with NextEvent reporting the reference's
+// earliest completion.
+func TestInFlightFIFOMatchesLinearScan(t *testing.T) {
+	r := rng.New(2024)
+	for trial := 0; trial < 200; trial++ {
+		queueCap := []int{0, 1, 2, 4, 8}[r.Intn(5)]
+		c := newTestController(t, queueCap)
+		stallAt := uint64(0)
+		if r.Intn(4) == 0 {
+			stallAt = uint64(1 + r.Intn(40))
+			c.InjectStall(stallAt)
+		}
+		n := 1 + r.Intn(80)
+		rows := 1 + r.Intn(4)
+		var arrivals []*mem.Request
+		for i := 0; i < n; i++ {
+			arrivals = append(arrivals, &mem.Request{ID: uint64(i + 1),
+				Loc: mem.Location{Bank: r.Intn(16), Row: r.Intn(rows)}})
+		}
+		gap := r.Intn(6)
+		tickOdds := 1 + r.Intn(3) // tick on 1 in tickOdds cycles
+		restoreAt := int64(-1)
+		if r.Intn(2) == 0 {
+			restoreAt = int64(r.Intn(200))
+		}
+
+		var ref refCollector
+		var table []*mem.Request
+		scheduled := map[*mem.Request]bool{}
+		lastDone := int64(-1)
+		completed := 0
+		next := 0
+		for now := int64(0); now < 20000; now++ {
+			if now == restoreAt {
+				idx := map[*mem.Request]int{}
+				snap := c.Snapshot(func(q *mem.Request) int {
+					if i, ok := idx[q]; ok {
+						return i
+					}
+					table = append(table, q)
+					idx[q] = len(table) - 1
+					return len(table) - 1
+				})
+				c = newTestController(t, queueCap)
+				if stallAt > 0 {
+					c.InjectStall(stallAt)
+				}
+				c.Restore(snap, func(i int) *mem.Request { return table[i] })
+			}
+			if next < len(arrivals) && (gap == 0 || now%int64(gap+1) == 0) && c.CanAccept() {
+				c.Push(arrivals[next])
+				next++
+			}
+			if r.Intn(tickOdds) != 0 {
+				continue
+			}
+			got := c.Tick(now)
+			for _, q := range arrivals[:next] {
+				if q.Done != 0 && !scheduled[q] {
+					scheduled[q] = true
+					ref.inflight = append(ref.inflight, q)
+				}
+			}
+			want := ref.collect(now)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d cycle %d: %d completions, reference %d", trial, now, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d cycle %d: completion %d is request %d, reference %d", trial, now, i, got[i].ID, want[i].ID)
+				}
+				if got[i].Done <= lastDone {
+					t.Fatalf("trial %d cycle %d: Done %d after %d, want strictly increasing", trial, now, got[i].Done, lastDone)
+				}
+				lastDone = got[i].Done
+			}
+			completed += len(got)
+			if c.QueueLen() == 0 && len(ref.inflight) > 0 {
+				minDone := ref.inflight[0].Done
+				for _, q := range ref.inflight {
+					minDone = min(minDone, q.Done)
+				}
+				if ev := c.NextEvent(now); ev != minDone {
+					t.Fatalf("trial %d cycle %d: NextEvent %d, reference earliest Done %d", trial, now, ev, minDone)
+				}
+			}
+			if c.InFlight() != len(ref.inflight) {
+				t.Fatalf("trial %d cycle %d: %d in flight, reference %d", trial, now, c.InFlight(), len(ref.inflight))
+			}
+			if next == len(arrivals) && c.Idle() {
+				break
+			}
+			if stallAt > 0 && c.Stats.Accesses >= stallAt && c.InFlight() == 0 && (next == len(arrivals) || !c.CanAccept()) {
+				break // frozen: nothing more can complete
+			}
+		}
+		if stallAt == 0 && completed != n {
+			t.Fatalf("trial %d: %d of %d requests completed", trial, completed, n)
+		}
+		if stallAt > 0 && completed != min(n, int(stallAt)) {
+			t.Fatalf("trial %d: stalled after %d accesses, %d of %d completed", trial, stallAt, completed, n)
+		}
+	}
+}
+
+// BenchmarkControllerDeepInFlight drives one controller with a burst of
+// 512 row-hit-heavy requests, which keeps hundreds in flight at once
+// (each column command holds the data bus for Burst cycles while the
+// scheduler takes one request per cycle). It isolates the cost of
+// in-flight bookkeeping; "inflight" reports the peak depth.
+func BenchmarkControllerDeepInFlight(b *testing.B) {
+	c, err := NewController(HynixGDDR5(), mem.DefaultAddressMap(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(7)
+	reqs := make([]mem.Request, 512)
+	locs := make([]mem.Location, len(reqs))
+	for i := range locs {
+		locs[i] = mem.Location{Bank: r.Intn(16), Row: r.Intn(2)}
+	}
+	peak := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reset()
+		for j := range reqs {
+			reqs[j] = mem.Request{ID: uint64(j + 1), Loc: locs[j]}
+			c.Push(&reqs[j])
+		}
+		for now := int64(0); !c.Idle(); now++ {
+			c.Tick(now)
+			peak = max(peak, c.InFlight())
+		}
+	}
+	b.ReportMetric(float64(peak), "inflight")
 }

@@ -89,14 +89,20 @@ func ffMechanisms() []mechanism.Mechanism {
 		mechanism.RSS(8),
 		mechanism.RSSRTS(8),
 		mechanism.RSSNormal(4, 1.5),
+		mechanism.Delay(64),
+		mechanism.Shuffle(),
 	}
 }
 
 // TestFastForwardByteIdenticalResults runs the same (kernel, seed)
 // with fast-forward forced off and on across every mechanism, ablation
-// variant, and several seeds, requiring deeply equal Results.
+// variant, and several seeds, requiring deeply equal Results. Turning
+// fast-forward off also turns off the per-SM and per-partition wake
+// gating, so the comparison covers both. The 32-warp kernel puts at
+// least two warps on every SM, so one SM's schedulers, replies, and
+// wake cycle interleave several warps, as in the 1024-line case study.
 func TestFastForwardByteIdenticalResults(t *testing.T) {
-	kern := randomKernel(11, 4, 4)
+	kerns := []*Kernel{randomKernel(11, 4, 4), randomKernel(12, 32, 2)}
 	seeds := []uint64{1, 42, 0xdecaf}
 	for _, variant := range ffVariants() {
 		for _, mech := range ffMechanisms() {
@@ -115,21 +121,24 @@ func TestFastForwardByteIdenticalResults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, seed := range seeds {
-					want, err := gSlow.Run(kern, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := gFast.Run(kern, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("seed %d: fast-forward result differs\ncycle-stepped: cycles=%d totalTx=%d\nfast-forward:  cycles=%d totalTx=%d",
-							seed, want.Cycles, want.TotalTx, got.Cycles, got.TotalTx)
-					}
-					if gFast.SkippedCycles == 0 && want.Cycles > 100 {
-						t.Errorf("seed %d: fast-forward never skipped a cycle on a %d-cycle run", seed, want.Cycles)
+				for _, kern := range kerns {
+					for _, seed := range seeds {
+						want, err := gSlow.Run(kern, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						skipped := gFast.SkippedCycles
+						got, err := gFast.Run(kern, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("%d warps, seed %d: fast-forward result differs\ncycle-stepped: cycles=%d totalTx=%d\nfast-forward:  cycles=%d totalTx=%d",
+								len(kern.Warps), seed, want.Cycles, want.TotalTx, got.Cycles, got.TotalTx)
+						}
+						if gFast.SkippedCycles == skipped && want.Cycles > 100 {
+							t.Errorf("%d warps, seed %d: fast-forward never skipped a cycle on a %d-cycle run", len(kern.Warps), seed, want.Cycles)
+						}
 					}
 				}
 			})

@@ -146,6 +146,11 @@ type smState struct {
 	// request-table occupancy of Figure 11); maintained only when
 	// metrics are installed.
 	prt int
+	// wake is a lower bound on the next cycle a warp of this SM can
+	// issue: the minimum readyAt over its warps that are neither done
+	// nor blocked, recomputed after the schedulers run and lowered to
+	// now+1 by settle. Before it the issue stage is a no-op.
+	wake int64
 }
 
 // partState is one memory partition: the optional L2 slice in front of
@@ -154,6 +159,12 @@ type partState struct {
 	ctrl    *dram.Controller
 	l2      *cache.Cache
 	replies []*mem.Request // L2 hits, delivered when Done <= now
+	// wake is a lower bound on the partition's next cycle of work: the
+	// minimum of the controller's next event, the request port's next
+	// delivery, and the L2 replies' Done, recomputed after every step
+	// and lowered by every push toward the partition. Before it the
+	// partition's step is a no-op.
+	wake int64
 }
 
 // runState bundles one launch's mutable state.
@@ -346,38 +357,18 @@ func (g *GPU) nextEvent(st *runState, now int64) int64 {
 		if t := st.toSM.NextDeliverable(smID); t < next {
 			next = t
 		}
-		for _, w := range sm.warps {
-			if w.done || w.blocked {
-				continue // woken by a reply, covered above
-			}
-			if w.readyAt <= now {
-				// Ready but not issued this cycle (scheduler bandwidth):
-				// the SM is active next cycle.
-				return now + 1
-			}
-			if w.readyAt < next {
-				next = w.readyAt
-			}
-		}
-	}
-	for pid, p := range st.parts {
-		t := p.ctrl.NextEvent(now)
-		if t == now+1 {
+		// Blocked warps are woken by a reply, covered above.
+		if sm.wake <= now {
+			// Ready but not issued this cycle (scheduler bandwidth):
+			// the SM is active next cycle.
 			return now + 1
 		}
-		if t < next {
-			next = t
+		if sm.wake < next {
+			next = sm.wake
 		}
-		for _, r := range p.replies {
-			if r.Done < next {
-				next = r.Done
-			}
-		}
-		// The controller queue is empty here (NextEvent would have
-		// returned now+1), so it can always accept a delivery.
-		if t := st.toMem.NextDeliverable(pid); t < next {
-			next = t
-		}
+	}
+	for _, p := range st.parts {
+		next = min(next, p.wake)
 	}
 	return next
 }
@@ -563,10 +554,12 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 			clear(sm.mshr)
 		}
 		sm.prt = 0
+		sm.wake = 0
 	}
 	for _, p := range st.parts {
 		p.ctrl.Reset()
 		p.replies = p.replies[:0]
+		p.wake = 0
 		if p.l2 != nil {
 			p.l2.Reset(cacheRNG.Uint64())
 		}
@@ -576,11 +569,14 @@ func (g *GPU) resetRuntime(st *runState, cacheRNG *rng.Source) {
 }
 
 // stepSMs advances every SM by one cycle: deliver replies, drain the
-// LD/ST injection queues, and let the schedulers issue.
-// stepSMs advances every SM one cycle. The returned flag reports
-// whether some SM still holds queued transactions, which pins the
-// event horizon to now+1 (see nextEvent).
+// LD/ST injection queues, and let the schedulers issue. The returned
+// flag reports whether some SM still holds queued transactions, which
+// pins the event horizon to now+1 (see nextEvent). Under fast-forward
+// an SM's schedulers are skipped before its wake cycle, where no warp
+// can issue, unless metrics are installed: their stall counters
+// classify every scheduler slot of every stepped cycle.
 func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
+	gate := !g.cfg.FastForwardDisabled && g.cfg.Metrics == nil
 	for smID, sm := range st.sms {
 		if len(sm.warps) == 0 {
 			continue // no resident warps: nothing ever happens here
@@ -620,13 +616,24 @@ func (g *GPU) stepSMs(st *runState, now int64) (busy bool) {
 		for n := 0; n < g.cfg.MCURate && sm.injectQ.Len() > 0; n++ {
 			req := sm.injectQ.Pop()
 			req.Issued = now
-			st.toMem.Push(req.Loc.Partition, req, now)
+			pid := req.Loc.Partition
+			st.toMem.Push(pid, req, now)
+			p := st.parts[pid]
+			p.wake = min(p.wake, st.toMem.NextDeliverable(pid))
 			st.progress++
 		}
 
 		// 3. Warp schedulers issue.
-		for s := 0; s < g.cfg.SchedulersPerSM; s++ {
-			g.issueOne(st, sm, smID, s, now)
+		if !gate || sm.wake <= now {
+			for s := 0; s < g.cfg.SchedulersPerSM; s++ {
+				g.issueOne(st, sm, smID, s, now)
+			}
+			sm.wake = math.MaxInt64
+			for _, w := range sm.warps {
+				if !w.done && !w.blocked && w.readyAt < sm.wake {
+					sm.wake = w.readyAt
+				}
+			}
 		}
 
 		if sm.injectQ.Len() > 0 {
@@ -654,6 +661,7 @@ func (g *GPU) settle(st *runState, sm *smState, smID int, w *warpRun, now int64)
 	if w.pending == 0 && w.blocked {
 		w.blocked = false
 		w.readyAt = now + 1
+		sm.wake = min(sm.wake, now+1)
 		if w.pc >= len(w.prog.Instrs) {
 			g.retire(st, w, now)
 		}
@@ -674,15 +682,17 @@ func (g *GPU) retire(st *runState, w *warpRun, now int64) {
 // interconnect (through the L2 when enabled), tick the DRAM
 // controller, and send replies back. The returned flag reports
 // whether some controller still queues unscheduled requests, which
-// pins the event horizon to now+1 (see nextEvent).
+// pins the event horizon to now+1 (see nextEvent). Under fast-forward
+// a partition is skipped before its wake cycle, where its step is a
+// strict no-op.
 func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
+	gate := !g.cfg.FastForwardDisabled
 	for pid, p := range st.parts {
-		// A partition with no queued, in-flight, or deliverable work is
-		// a strict no-op this cycle; skip its whole body.
-		if len(p.replies) == 0 && p.ctrl.Idle() && st.toMem.Pending(pid) == 0 {
+		if gate && now < p.wake {
 			continue
 		}
 		// L2-hit replies maturing this cycle.
+		wake := int64(math.MaxInt64)
 		if len(p.replies) > 0 {
 			kept := p.replies[:0]
 			for _, r := range p.replies {
@@ -691,6 +701,7 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 					st.progress++
 				} else {
 					kept = append(kept, r)
+					wake = min(wake, r.Done)
 				}
 			}
 			p.replies = kept
@@ -703,6 +714,7 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 					if hit, _, _ := p.l2.Access(mem.BlockOf(r.Addr)); hit {
 						r.Done = now + int64(p.l2.HitLatency())
 						p.replies = append(p.replies, r)
+						wake = min(wake, r.Done)
 						goto tick
 					}
 				}
@@ -734,6 +746,7 @@ func (g *GPU) stepMemory(st *runState, now int64) (busy bool) {
 		if p.ctrl.QueueLen() > 0 {
 			busy = true
 		}
+		p.wake = min(wake, p.ctrl.NextEvent(now), st.toMem.NextDeliverable(pid))
 	}
 	return busy
 }

@@ -120,13 +120,6 @@ func (x *Crossbar) Pop(dst int, now int64) *mem.Request {
 	return head.req
 }
 
-// Peek reports whether port dst could deliver at cycle now without
-// consuming the packet (used for back-pressure checks).
-func (x *Crossbar) Peek(dst int, now int64) bool {
-	q := &x.ports[dst]
-	return q.Len() > 0 && q.Peek().readyAt <= now && x.nextSlot[dst] <= now
-}
-
 // NextDeliverable returns the earliest cycle at which port dst could
 // deliver its head packet, or math.MaxInt64 when the port is empty.
 // Packets are queued in injection order, so the head carries the

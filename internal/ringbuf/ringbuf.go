@@ -1,9 +1,9 @@
 // Package ringbuf provides a growable FIFO ring buffer used on the
-// simulator's hot paths (the LD/ST inject queue and the crossbar port
-// queues). Unlike the `q = q[1:]` idiom, popping never abandons the
-// front of the backing array, so a queue that is pushed and popped in
-// steady state keeps a small, bounded capacity and performs zero
-// allocations once warmed.
+// simulator's hot paths (the LD/ST inject queue, the crossbar port
+// queues, and the DRAM controllers' in-flight queues). Unlike the
+// `q = q[1:]` idiom, popping never abandons the front of the backing
+// array, so a queue that is pushed and popped in steady state keeps a
+// small, bounded capacity and performs zero allocations once warmed.
 package ringbuf
 
 // Ring is a FIFO queue over a circular buffer. The zero value is an

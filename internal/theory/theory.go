@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"rcoal/internal/amath"
 )
@@ -89,7 +90,9 @@ type Model struct {
 
 	// freqClasses caches the frequency-class enumeration (partition
 	// classes of N over R blocks with their exact probabilities),
-	// which every RTS-based ρ shares.
+	// which every RTS-based ρ shares. freqOnce builds it on first use:
+	// one Model serves concurrent sweep cells.
+	freqOnce    sync.Once
 	freqClasses []freqClass
 	// binom caches Pascal's triangle up to N as float64: the coverProb
 	// kernel runs tens of millions of times for large-N models, and
@@ -268,7 +271,7 @@ func (md *Model) RhoRSSRTS(m int) float64 {
 // classes of N accesses to R blocks (Definition 2), enumerating
 // partition classes and weighting by their exact probability.
 func (md *Model) sumOverFrequencyClasses(fn func(freqs []int) float64) float64 {
-	if md.freqClasses == nil {
+	md.freqOnce.Do(func() {
 		amath.ForEachPartition(md.N, md.R, func(p amath.Partition) bool {
 			cp := make([]int, len(p))
 			copy(cp, p)
@@ -279,7 +282,7 @@ func (md *Model) sumOverFrequencyClasses(fn func(freqs []int) float64) float64 {
 			md.freqClasses = append(md.freqClasses, freqClass{freqs: cp, prob: prob})
 			return true
 		})
-	}
+	})
 	total := 0.0
 	for _, fc := range md.freqClasses {
 		total += fc.prob * fn(fc.freqs)

@@ -3,6 +3,7 @@ package theory
 import (
 	"math"
 	"math/big"
+	"sync"
 	"testing"
 
 	"rcoal/internal/rng"
@@ -254,5 +255,39 @@ func TestPanicsOnBadM(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestModelConcurrentRho: one Model serves concurrent sweep cells (the
+// experiments' hybrid mode shares a single instance), so its lazily
+// built frequency-class cache must be filled exactly once. A racing
+// fill duplicated classes and returned a ρ far outside [-1, 1]; run
+// under -race this also catches the unsynchronized write itself.
+func TestModelConcurrentRho(t *testing.T) {
+	want := func() float64 {
+		md, err := NewModel(32, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return md.RhoFSSRTS(2)
+	}()
+	md, err := NewModel(32, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = md.RhoFSSRTS(2)
+		}(i)
+	}
+	wg.Wait()
+	for i, rho := range got {
+		if rho != want {
+			t.Errorf("goroutine %d: ρ = %v, want %v", i, rho, want)
+		}
 	}
 }
