@@ -56,9 +56,9 @@ obs-smoke:
 	bash scripts/obs_smoke.sh
 
 # Differential-equivalence harness for the simulation accelerators
-# (trace cache, copy-on-write prefix forking, hybrid analytical
-# cells). EQUIV_SHORT=1 runs the PR-sized grid; unset runs the full
-# 6-mechanism x 3-subwarp-count x 3-seed matrix (the main-branch
+# (trace cache, copy-on-write prefix forking): both must be
+# byte-invisible. EQUIV_SHORT=1 runs the PR-sized grid; unset runs the
+# full 6-mechanism x 3-subwarp-count x 3-seed matrix (the main-branch
 # gate).
 equiv:
 	$(GO) test $(if $(EQUIV_SHORT),-short) -v -count=1 ./internal/equiv/
@@ -66,6 +66,7 @@ equiv:
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -14,17 +14,15 @@
 // The control plane lives on the same address: GET /status for live
 // grid progress, per-worker rates, and straggler flags; GET /metrics
 // for Prometheus text exposition; POST /leases/cancel to revoke (and
-// thereby retry) an in-flight lease; /debug/vars for expvar. With
-// -trace-out the coordinator merges its own lease spans with the
-// per-cell span reports workers attach to completions into one
-// fleet-wide Chrome/Perfetto trace; -log-json emits structured
-// lease-lifecycle events; -flight-out dumps a bounded ring of recent
-// events when the sweep fails.
+// thereby retry) an in-flight lease. With -trace-out the coordinator
+// merges its own lease spans with the per-cell span reports workers
+// attach to completions into one fleet-wide Chrome/Perfetto trace;
+// -log-json emits structured lease-lifecycle events; -flight-out dumps
+// a bounded ring of recent events when the sweep fails.
 package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -48,20 +46,19 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", "localhost:8077", "address to serve the lease protocol and control plane on")
-		run     = flag.String("run", "", "experiment ID to run, or \"all\"")
-		samples = flag.Int("samples", 100, "plaintext timing samples per configuration")
-		lines   = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
-		seed    = flag.Uint64("seed", 0x8C0A1, "master random seed")
-		key     = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
-		csvDir  = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
-		jdir    = flag.String("journal", "", "directory for per-experiment lease ledgers (<id>.journal); required")
-		resume  = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
-		cdir    = flag.String("cache", "", "directory for the fingerprint-keyed results cache; cells computed by any prior sweep under identical options are restored instead of leased")
-		par     = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
-		accel   = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
-		hybrid  = flag.Bool("hybrid", false, "lease cells with the hybrid analytical substitution (scores may differ within HybridScoreBound)")
-		mechs   = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
+		addr     = flag.String("addr", "localhost:8077", "address to serve the lease protocol and control plane on")
+		run      = flag.String("run", "", "experiment ID to run, or \"all\"")
+		samples  = flag.Int("samples", 100, "plaintext timing samples per configuration")
+		lines    = flag.Int("lines", 32, "plaintext lines per sample (fig18 always uses 1024)")
+		seed     = flag.Uint64("seed", 0x8C0A1, "master random seed")
+		key      = flag.String("key", "RCoal eval key 1", "AES key (16/24/32 bytes)")
+		csvDir   = flag.String("csv", "", "directory to write <id>.csv data files into (optional)")
+		jdir     = flag.String("journal", "", "directory for per-experiment lease ledgers (<id>.journal); required")
+		resume   = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
+		cdir     = flag.String("cache", "", "directory for the fingerprint-keyed results cache; cells computed by any prior sweep under identical options are restored instead of leased")
+		par      = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
+		accel    = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
+		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
 		leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
 		hb       = flag.Duration("heartbeat", 0, "period of the live status line on stderr (cells done, cache hit/miss, workers, rate, eta); 0 = off")
 		drain    = flag.Duration("drain-wait", 2*time.Second, "grace period after the last grid completes so polling workers see Done and exit")
@@ -86,7 +83,6 @@ func main() {
 	opts.Lines = *lines
 	opts.Seed = *seed
 	opts.Key = []byte(*key)
-	opts.Hybrid = *hybrid
 	if *mechs != "" {
 		for _, spec := range strings.Split(*mechs, ",") {
 			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
@@ -143,13 +139,9 @@ func main() {
 		Trace:        fleetTrace,
 		Log:          logger,
 	})
-	mux := http.NewServeMux()
-	mux.Handle("/", s.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	expvar.Publish("rcoal_dist", expvar.Func(func() any { return s.Status() }))
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: mux,
+		Handler: s.Handler(),
 		// A client that stalls mid-request (or a chaos-injected partial
 		// delivery) must not pin a handler goroutine forever.
 		ReadHeaderTimeout: 5 * time.Second,

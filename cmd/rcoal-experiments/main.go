@@ -10,7 +10,6 @@
 //	rcoal-experiments -run all -journal ckpt          # checkpoint finished cells
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
 //	rcoal-experiments -run all -accel                 # trace cache + prefix forking (byte-identical)
-//	rcoal-experiments -run fig15 -hybrid              # analytical closed cells (bounded score drift)
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
 //	rcoal-experiments -worker http://host:8077        # compute cells for a rcoal-coordinator
 package main
@@ -18,7 +17,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -59,12 +57,10 @@ func main() {
 		jdir     = flag.String("journal", "", "directory for per-experiment checkpoint journals (<id>.journal); completed cells survive crashes")
 		resume   = flag.Bool("resume", false, "resume from existing journals, skipping journaled cells (requires -journal)")
 		cellTO   = flag.Duration("cell-timeout", 0, "per-cell time budget; 0 = unlimited")
-		retries  = flag.Int("retries", 0, "extra attempts for cells failing with a retryable fault")
 		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment)")
 		hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization); 0 = off")
-		maddr    = flag.String("metrics-addr", "", "serve live run telemetry over HTTP expvar at this address (e.g. localhost:6060/debug/vars)")
+		maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at this address (e.g. localhost:6060, scraped at /metrics)")
 		accel    = flag.Bool("accel", false, "enable the exact accelerators: per-run trace caching plus copy-on-write prefix forking where applicable (results are byte-identical)")
-		hybrid   = flag.Bool("hybrid", false, "replace analytically closed sweep cells with the Section V model's score instead of simulating the attack (scores may differ within the documented HybridScoreBound; performance columns stay simulated)")
 		cdir     = flag.String("cache", "", "directory for the fingerprint-keyed results cache: cells computed by any prior sweep under identical result-determining options are restored instead of re-run")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 		worker   = flag.String("worker", "", "run as a distributed worker for the rcoal-coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
@@ -112,8 +108,6 @@ func main() {
 	opts.Key = []byte(*key)
 	opts.Workers = *workers
 	opts.CellTimeout = *cellTO
-	opts.Retries = *retries
-	opts.Hybrid = *hybrid
 	if *mechs != "" {
 		for _, spec := range strings.Split(*mechs, ",") {
 			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
@@ -168,7 +162,6 @@ func main() {
 			}
 		}
 		if *maddr != "" {
-			expvar.Publish("rcoal_telemetry", expvar.Func(func() any { return tel.Stats() }))
 			http.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 				p := obs.NewProm()
 				p.Telemetry("rcoal", tel.Stats())
@@ -380,7 +373,6 @@ func runWorker(cfg workerConfig) int {
 	}
 	if cfg.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/debug/vars", expvar.Handler())
 		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 			st := w.Stats()
 			p := obs.NewProm()

@@ -83,7 +83,10 @@ func TestFigure5TimingProportionality(t *testing.T) {
 	if v := stats.Variance(tx); v == 0 {
 		t.Fatal("no variance in last-round accesses; cannot test correlation")
 	}
-	rLast := stats.MustPearson(tx, ds.LastRoundTimes())
+	rLast, err := stats.Pearson(tx, ds.LastRoundTimes())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rLast < 0.8 {
 		t.Errorf("last-round time vs accesses: rho = %v, want > 0.8", rLast)
 	}
@@ -91,7 +94,10 @@ func TestFigure5TimingProportionality(t *testing.T) {
 	// contribute independent access-count noise (ideal dilution is
 	// ~1/sqrt(10) ≈ 0.32). This is exactly why the paper grants the
 	// attacker last-round timing for the strong attack.
-	rTotal := stats.MustPearson(tx, ds.TotalTimes())
+	rTotal, err := stats.Pearson(tx, ds.TotalTimes())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rTotal < 0.1 {
 		t.Errorf("total time vs last-round accesses: rho = %v, want > 0.1", rTotal)
 	}

@@ -97,17 +97,6 @@ func ForEachPartitionExact(n, k int, fn func(Partition) bool) {
 	})
 }
 
-// CountPartitions returns the number of partitions of n into at most
-// maxParts positive parts.
-func CountPartitions(n, maxParts int) int {
-	count := 0
-	ForEachPartition(n, maxParts, func(Partition) bool {
-		count++
-		return true
-	})
-	return count
-}
-
 // CompositionCount returns the number of compositions of n into exactly
 // k positive (ordered) parts: C(n-1, k-1). Under skewed RSS every such
 // composition is equally likely (Section IV-B).

@@ -66,9 +66,6 @@ type WireOptions struct {
 	Lines   int    `json:"lines"`
 	Seed    uint64 `json:"seed"`
 	KeyHex  string `json:"key_hex"`
-	// Hybrid selects the analytical closed-cell substitution — part of
-	// the result fingerprint, so it must travel with the lease.
-	Hybrid bool `json:"hybrid,omitempty"`
 	// Accel turns on the exact accelerators (trace cache, prefix
 	// forking) on the worker. Byte-identical by the internal/equiv
 	// contract, so it is NOT part of the fingerprint — an accelerated
@@ -89,7 +86,6 @@ func WireFrom(o experiments.Options) WireOptions {
 		Lines:      o.Lines,
 		Seed:       o.Seed,
 		KeyHex:     hex.EncodeToString(o.Key),
-		Hybrid:     o.Hybrid,
 		Accel:      o.TraceCache != nil || o.ForkPrefix,
 		Mechanisms: o.Mechanisms,
 	}
@@ -109,7 +105,6 @@ func (w WireOptions) Options() (experiments.Options, error) {
 	o.Lines = w.Lines
 	o.Seed = w.Seed
 	o.Key = key
-	o.Hybrid = w.Hybrid
 	o.ForkPrefix = w.Accel
 	o.Mechanisms = w.Mechanisms
 	o.Workers = 1

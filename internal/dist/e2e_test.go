@@ -268,8 +268,8 @@ func TestDistributedAccelMatchesVanilla(t *testing.T) {
 // worker pointed at nothing.
 func TestWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	w := &Worker{
-		Coordinator:  "http://127.0.0.1:1", // reserved port: connection refused
-		ID:           "lost",
+		Coordinator: "http://127.0.0.1:1", // reserved port: connection refused
+		ID:          "lost",
 		MaxErrors:   2,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,

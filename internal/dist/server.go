@@ -25,10 +25,10 @@ const (
 
 // cellState is one enumerated grid cell as the coordinator tracks it.
 type cellState struct {
-	index    int
-	key      string
-	phase    cellPhase
-	raw      json.RawMessage
+	index     int
+	key       string
+	phase     cellPhase
+	raw       json.RawMessage
 	worker    string
 	seq       int64 // last issued lease number; bumps on re-issue/cancel
 	deadline  time.Time
@@ -175,7 +175,8 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// counter names surfaced via Status.Metrics and the expvar endpoint.
+// counter names surfaced via Status.Metrics (GET /status) and the
+// Prometheus /metrics exposition.
 const (
 	cntCacheHits      = "dist_cache_hits"
 	cntCacheMisses    = "dist_cache_misses"

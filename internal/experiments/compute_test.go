@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcoal/internal/checkpoint"
 	"rcoal/internal/runner"
 )
 
@@ -137,7 +138,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"seed":    func() Options { v := o; v.Seed++; return v }(),
 		"samples": func() Options { v := o; v.Samples++; return v }(),
 		"lines":   func() Options { v := o; v.Lines++; return v }(),
-		"hybrid":  func() Options { v := o; v.Hybrid = true; return v }(),
 		"key":     func() Options { v := o; v.Key = []byte("another 16B key!"); return v }(),
 	} {
 		if Fingerprint("fig7", variant) == base {
@@ -154,5 +154,63 @@ func TestFingerprintSensitivity(t *testing.T) {
 	accel.ForkPrefix = true
 	if Fingerprint("fig7", accel) != base {
 		t.Error("fingerprint varies with non-result-determining options")
+	}
+}
+
+// TestFingerprintPinned pins the default-options fingerprints, so that
+// results caches and journals written by earlier builds stay valid. A
+// change here invalidates every such cache and journal on disk.
+func TestFingerprintPinned(t *testing.T) {
+	for id, want := range map[string]string{
+		"fig7":                 "c4a99811ca962612",
+		"fig15":                "cb5d7291ae2f843f",
+		"fig18":                "7deb2c1996310314",
+		"ext-defense-frontier": "402d4daef13c7035",
+	} {
+		if got := Fingerprint(id, DefaultOptions()); got != want {
+			t.Errorf("Fingerprint(%q, DefaultOptions()) = %s, want %s", id, got, want)
+		}
+	}
+}
+
+// TestResumeRefusesHybridJournal: builds that still had the hybrid
+// analytical mode recorded "hybrid":true in the journal meta of hybrid
+// runs. Those journals hold model scores, not simulated ones, so
+// resuming one must be refused.
+func TestResumeRefusesHybridJournal(t *testing.T) {
+	o := testOptions()
+	// legacyMeta mirrors journalMeta as hybrid-era builds wrote it.
+	type legacyMeta struct {
+		Experiment string   `json:"experiment"`
+		Samples    int      `json:"samples"`
+		Lines      int      `json:"lines"`
+		Seed       uint64   `json:"seed"`
+		KeyHash    string   `json:"keyHash"`
+		Hybrid     bool     `json:"hybrid,omitempty"`
+		Mechanisms []string `json:"mechanisms,omitempty"`
+	}
+	cur := metaFor("fig15", o)
+	for _, hybrid := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "fig15.journal")
+		j, err := checkpoint.Create(path, legacyMeta{
+			Experiment: cur.Experiment, Samples: cur.Samples, Lines: cur.Lines,
+			Seed: cur.Seed, KeyHash: cur.KeyHash, Hybrid: hybrid,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		j, err = OpenJournal(path, "fig15", o, true)
+		switch {
+		case hybrid && err == nil:
+			j.Close()
+			t.Error("resume of a hybrid journal succeeded")
+		case !hybrid && err != nil:
+			// The mirror must match a non-hybrid journal, or the
+			// refusal above proves nothing.
+			t.Errorf("resume of a non-hybrid legacy journal rejected: %v", err)
+		case err == nil:
+			j.Close()
+		}
 	}
 }

@@ -73,10 +73,6 @@ type Options struct {
 	// CellTimeout, when positive, bounds each evaluation cell's run
 	// (runner.Pool.CellTimeout).
 	CellTimeout time.Duration
-	// Retries re-runs a failed cell up to this many extra times when
-	// its error is retryable (runner.MarkRetryable); same-seed retries
-	// cannot change results.
-	Retries int
 	// faultHook, when non-nil, runs before each freshly evaluated cell
 	// with the cell's index. Test-only: the crash-safety tests use it
 	// to panic or fail inside a chosen cell (see internal/faultinject).
@@ -88,7 +84,7 @@ type Options struct {
 	// (every issue, transaction, and reply of every sample).
 	Trace gpusim.TraceSink
 	// Telemetry, when non-nil, aggregates live per-cell runtime stats
-	// (timing, retries, throughput) from the experiment's worker pools.
+	// (timing, throughput) from the experiment's worker pools.
 	Telemetry *runner.Telemetry
 	// TraceCache, when non-nil, memoizes per-plaintext AES trace
 	// construction across cells (kernels.TraceCache). Cells of a grid
@@ -109,14 +105,6 @@ type Options struct {
 	// Empty means the registry's full frontier set. Specs are part of
 	// the result-determining fingerprint.
 	Mechanisms []string
-	// Hybrid replaces simulation of analytically decisive sweep cells
-	// with the Section V model's ρ prediction (see hybrid.go),
-	// reserving cycle-accurate simulation for cells near the decision
-	// threshold. UNLIKE the other accelerators this changes reported
-	// security scores, within the documented HybridScoreBound;
-	// performance columns stay fully simulated. Opt-in via
-	// cmd/rcoal-experiments -hybrid.
-	Hybrid bool
 }
 
 // gpuConfig is the GPU configuration every experiment starts from: the
@@ -133,7 +121,6 @@ func (o Options) pool() runner.Pool {
 		Workers:     o.Workers,
 		OnProgress:  o.Progress,
 		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
 		Telemetry:   o.Telemetry,
 	}
 }

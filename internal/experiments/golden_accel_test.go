@@ -14,10 +14,6 @@ import (
 // which are generated with every accelerator OFF (`-update` runs the
 // vanilla path). A single flipped bit anywhere — cache key collision,
 // fork state leak, sample-assembly drift — fails the comparison.
-//
-// Hybrid mode is deliberately NOT exercised here: it is the one
-// accelerator allowed to change scores (see HybridScoreBound and
-// internal/equiv), so it can never sit behind a byte-identical pin.
 
 // accelOptions is goldenOptions with the exact-by-contract
 // accelerators switched on.

@@ -17,11 +17,10 @@ import (
 // configurations, so checkpoint.Resume rejects the mismatch. The same
 // fingerprint keys the cross-sweep results cache (OpenCache).
 //
-// Hybrid is part of the fingerprint because it changes reported scores
-// (within HybridScoreBound); the exact accelerators (trace cache,
-// prefix forking) are deliberately NOT — they are byte-identical by
-// the internal/equiv contract, so accelerated and vanilla runs may
-// share journals and cache entries.
+// The accelerators (trace cache, prefix forking) are deliberately NOT
+// part of the fingerprint — they are byte-identical by the
+// internal/equiv contract, so accelerated and vanilla runs may share
+// journals and cache entries.
 type journalMeta struct {
 	Experiment string `json:"experiment"`
 	Samples    int    `json:"samples"`
@@ -29,7 +28,6 @@ type journalMeta struct {
 	Seed       uint64 `json:"seed"`
 	// KeyHash fingerprints the AES key without writing it to disk.
 	KeyHash string `json:"keyHash"`
-	Hybrid  bool   `json:"hybrid,omitempty"`
 	// Mechanisms is the explicit defense-spec filter of mechanism-
 	// enumerating experiments. omitempty keeps the fingerprints of
 	// every pre-existing experiment (and of default frontier runs)
@@ -46,7 +44,6 @@ func metaFor(id string, o Options) journalMeta {
 		Lines:      o.Lines,
 		Seed:       o.Seed,
 		KeyHash:    fmt.Sprintf("%016x", h.Sum64()),
-		Hybrid:     o.Hybrid,
 		Mechanisms: o.Mechanisms,
 	}
 }
@@ -135,9 +132,9 @@ type CellExec interface {
 // already in the run's journal are restored; cells in the results
 // cache are copied into the journal and restored; the remainder fan
 // out over the pool with the full robustness envelope (panic recovery,
-// per-cell timeout, retries) and are journaled and cached as they
-// complete. Restores and cache hits are reported to Telemetry outside
-// the rate window.
+// per-cell timeout) and are journaled and cached as they complete.
+// Restores and cache hits are reported to Telemetry outside the rate
+// window.
 type localExec struct{}
 
 func (localExec) ExecCells(o Options, cells []GridCell) ([]json.RawMessage, error) {

@@ -118,27 +118,6 @@ func Bar(label string, value, max float64, width int) string {
 		strings.Repeat("#", n), strings.Repeat(" ", width-n), FormatFloat(value, 3))
 }
 
-// BarChart renders one bar per (label, value) pair, scaled to the
-// maximum finite value.
-func BarChart(title string, labels []string, values []float64, width int) string {
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	max := 0.0
-	for _, v := range values {
-		if !math.IsInf(v, 0) && !math.IsNaN(v) && v > max {
-			max = v
-		}
-	}
-	for i, l := range labels {
-		b.WriteString(Bar(l, values[i], max, width))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // MetricsHistogram renders a simulator metrics histogram snapshot:
 // one bar per non-empty bucket labeled with its inclusive value range,
 // followed by a count/mean/min/max summary line.

@@ -65,18 +65,6 @@ func TestBarScaling(t *testing.T) {
 	_ = Bar("x", 1, 0, 0)
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("t", []string{"a", "b"}, []float64{1, 2}, 10)
-	if !strings.HasPrefix(out, "t\n") || strings.Count(out, "\n") != 3 {
-		t.Errorf("chart:\n%s", out)
-	}
-	// Infinite values render without scaling breakage.
-	out = BarChart("", []string{"a"}, []float64{math.Inf(1)}, 10)
-	if !strings.Contains(out, "inf") {
-		t.Errorf("inf chart: %s", out)
-	}
-}
-
 func TestHistogramSkipsEmpty(t *testing.T) {
 	out := Histogram("h", []int{0, 5, 0, 2}, 10)
 	if strings.Contains(out, "size  0") || strings.Contains(out, "size  2") {

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -41,28 +40,3 @@ func (e *TimeoutError) Error() string {
 }
 
 func (e *TimeoutError) Unwrap() error { return e.Err }
-
-// retryable wraps an error marked safe to re-attempt.
-type retryable struct{ err error }
-
-func (r retryable) Error() string { return r.err.Error() }
-func (r retryable) Unwrap() error { return r.err }
-
-// MarkRetryable flags err as a transient fault the pool may re-run
-// under Pool.Retries. Only mark faults whose retry cannot change
-// results: cells derive all randomness from explicit seeds (CellSeed),
-// so a same-seed re-attempt either fails again or produces the exact
-// bytes a first-try success would have.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return retryable{err: err}
-}
-
-// IsRetryable reports whether err (or anything it wraps) was marked
-// with MarkRetryable. Panics and timeouts are never retryable.
-func IsRetryable(err error) bool {
-	var r retryable
-	return errors.As(err, &r)
-}

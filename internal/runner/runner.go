@@ -56,14 +56,9 @@ type Pool struct {
 	// context for the bound to bite — the pool never abandons a running
 	// goroutine (that would leak it).
 	CellTimeout time.Duration
-	// Retries re-runs a failed cell up to this many extra times when
-	// its error is marked retryable (MarkRetryable). A retried cell
-	// keeps its index and therefore its CellSeed-derived randomness, so
-	// an eventual success is byte-identical to a first-try success.
-	Retries int
 	// Telemetry, when non-nil, receives live per-cell runtime stats
-	// (timings, retries, failures, worker occupancy). One Telemetry may
-	// be shared across pools; see its docs.
+	// (timings, failures, worker occupancy). One Telemetry may be
+	// shared across pools; see its docs.
 	Telemetry *Telemetry
 }
 
@@ -139,26 +134,18 @@ func (p Pool) MapN(ctx context.Context, n int, fn func(ctx context.Context, i in
 	return ctx.Err()
 }
 
-// runCell executes one cell with the robustness envelope: bounded
-// same-seed retries around attempts that recover panics and enforce
-// the per-cell timeout.
+// runCell executes one cell inside the robustness envelope (panic
+// recovery and the per-cell timeout) and reports it to telemetry.
 func (p Pool) runCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) error {
 	var start time.Time
 	if p.Telemetry != nil {
 		start = p.Telemetry.cellStart()
 	}
-	for attempt := 0; ; attempt++ {
-		err := p.attemptCell(ctx, i, fn)
-		if err == nil || attempt >= p.Retries || !IsRetryable(err) || ctx.Err() != nil {
-			if p.Telemetry != nil {
-				p.Telemetry.cellEnd(start, err)
-			}
-			return err
-		}
-		if p.Telemetry != nil {
-			p.Telemetry.retryEvent()
-		}
+	err := p.attemptCell(ctx, i, fn)
+	if p.Telemetry != nil {
+		p.Telemetry.cellEnd(start, err)
 	}
+	return err
 }
 
 func (p Pool) attemptCell(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {

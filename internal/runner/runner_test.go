@@ -380,75 +380,3 @@ func TestCallerCancelIsNotATimeout(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestRetryableFaultsRetriedSameCell(t *testing.T) {
-	flaky := errors.New("transient")
-	var attempts atomic.Int64
-	err := Pool{Workers: 1, Retries: 2}.MapN(context.Background(), 3, func(_ context.Context, i int) error {
-		if i == 1 && attempts.Add(1) < 3 { // fails twice, succeeds third
-			return MarkRetryable(flaky)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("retried cell still failed: %v", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("cell 1 attempted %d times, want 3", got)
-	}
-
-	// Budget exhausted: the marked error surfaces and unwraps.
-	attempts.Store(0)
-	err = Pool{Workers: 1, Retries: 2}.MapN(context.Background(), 2, func(_ context.Context, i int) error {
-		if i == 0 {
-			attempts.Add(1)
-			return MarkRetryable(flaky)
-		}
-		return nil
-	})
-	if !errors.Is(err, flaky) {
-		t.Fatalf("err = %v, want wrapped transient", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempted %d times, want 1 + 2 retries", got)
-	}
-
-	// Unmarked errors never retry, whatever the budget.
-	attempts.Store(0)
-	err = Pool{Workers: 1, Retries: 5}.MapN(context.Background(), 1, func(_ context.Context, i int) error {
-		attempts.Add(1)
-		return flaky
-	})
-	if !errors.Is(err, flaky) || attempts.Load() != 1 {
-		t.Errorf("unmarked error: err=%v attempts=%d, want 1 attempt", err, attempts.Load())
-	}
-
-	// Panics never retry either.
-	attempts.Store(0)
-	err = Pool{Workers: 1, Retries: 5}.MapN(context.Background(), 1, func(_ context.Context, i int) error {
-		attempts.Add(1)
-		panic("not transient")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || attempts.Load() != 1 {
-		t.Errorf("panic retry: err=%v attempts=%d, want 1 attempt", err, attempts.Load())
-	}
-}
-
-func TestRetryableMarking(t *testing.T) {
-	if MarkRetryable(nil) != nil {
-		t.Error("MarkRetryable(nil) != nil")
-	}
-	base := errors.New("x")
-	marked := MarkRetryable(base)
-	if !IsRetryable(marked) || !errors.Is(marked, base) {
-		t.Error("marked error lost its mark or identity")
-	}
-	if IsRetryable(base) || IsRetryable(nil) {
-		t.Error("unmarked error reported retryable")
-	}
-	wrapped := fmt.Errorf("cell 3: %w", marked)
-	if !IsRetryable(wrapped) {
-		t.Error("mark not visible through wrapping")
-	}
-}

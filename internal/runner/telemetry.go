@@ -9,7 +9,7 @@ import (
 )
 
 // Telemetry aggregates live runtime statistics from one or more Pools:
-// cell timings, retries, failures, throughput, and worker occupancy.
+// cell timings, failures, throughput, and worker occupancy.
 // Unlike the simulator's metrics registry (single-goroutine by
 // design), Telemetry is concurrency-safe — many worker goroutines and
 // a heartbeat reader share one instance. Attach it via Pool.Telemetry;
@@ -25,7 +25,6 @@ type Telemetry struct {
 	restored   int
 	cacheHits  int
 	cacheMiss  int
-	retries    int
 	active     int
 	peakActive int
 	busy       time.Duration
@@ -75,7 +74,7 @@ func (t *Telemetry) cellStart() time.Time {
 	return now
 }
 
-// cellEnd records a cell finishing (across all of its retry attempts).
+// cellEnd records a cell finishing.
 func (t *Telemetry) cellEnd(start time.Time, err error) {
 	d := t.clock().Sub(start)
 	t.mu.Lock()
@@ -127,15 +126,7 @@ func (t *Telemetry) AddCacheMiss() {
 	t.mu.Unlock()
 }
 
-// retryEvent records one extra attempt of a failed cell.
-func (t *Telemetry) retryEvent() {
-	t.mu.Lock()
-	t.retries++
-	t.mu.Unlock()
-}
-
-// TelemetryStats is a point-in-time summary, JSON-friendly for the
-// expvar endpoint.
+// TelemetryStats is a point-in-time summary of a run's telemetry.
 type TelemetryStats struct {
 	TotalCells  int `json:"total_cells"`
 	CellsDone   int `json:"cells_done"`
@@ -146,7 +137,6 @@ type TelemetryStats struct {
 	RestoredCells int           `json:"restored_cells"`
 	CacheHits     int           `json:"cache_hits"`
 	CacheMisses   int           `json:"cache_misses"`
-	Retries       int           `json:"retries"`
 	ActiveWorkers int           `json:"active_workers"`
 	PeakWorkers   int           `json:"peak_workers"`
 	Elapsed       time.Duration `json:"elapsed_ns"`
@@ -174,7 +164,6 @@ func (t *Telemetry) Stats() TelemetryStats {
 		RestoredCells: t.restored,
 		CacheHits:     t.cacheHits,
 		CacheMisses:   t.cacheMiss,
-		Retries:       t.retries,
 		ActiveWorkers: t.active,
 		PeakWorkers:   t.peakActive,
 		MinCell:       t.minCell,
@@ -192,7 +181,7 @@ func (t *Telemetry) Stats() TelemetryStats {
 	// When that window is zero-width — every cell so far was a cache
 	// hit or journal restore, so fresh == 0, or the clock has not
 	// advanced — the rate is undefined: report 0 and no ETA rather
-	// than NaN/Inf (which would poison the expvar/Prometheus JSON) or
+	// than NaN/Inf (which would poison the Prometheus exposition) or
 	// a negative extrapolation.
 	fresh := t.done + t.failed
 	if fresh > 0 {
@@ -235,9 +224,6 @@ func (s TelemetryStats) String() string {
 	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		line += fmt.Sprintf(", cache %d hit/%d miss", s.CacheHits, s.CacheMisses)
-	}
-	if s.Retries > 0 {
-		line += fmt.Sprintf(", %d retries", s.Retries)
 	}
 	line += fmt.Sprintf(", %.1f cells/s", s.CellsPerSec)
 	if s.ETA > 0 {

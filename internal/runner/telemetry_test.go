@@ -34,41 +34,16 @@ func TestTelemetryCountsPoolRun(t *testing.T) {
 	}
 }
 
-func TestTelemetryRetriesAndFailures(t *testing.T) {
+func TestTelemetryFailures(t *testing.T) {
+	// A failing cell counts as failed, not done.
 	tel := NewTelemetry()
-	var mu sync.Mutex
-	attempts := map[int]int{}
-	p := Pool{Workers: 1, Retries: 2, Telemetry: tel}
-	err := p.MapN(context.Background(), 3, func(_ context.Context, i int) error {
-		mu.Lock()
-		attempts[i]++
-		n := attempts[i]
-		mu.Unlock()
-		if i == 1 && n <= 2 {
-			return MarkRetryable(errors.New("flaky"))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tel.Stats()
-	if s.Retries != 2 {
-		t.Errorf("retries = %d, want 2", s.Retries)
-	}
-	if s.CellsDone != 3 || s.CellsFailed != 0 {
-		t.Errorf("done/failed = %d/%d, want 3/0", s.CellsDone, s.CellsFailed)
-	}
-
-	// A terminally failing cell counts as failed, not done.
-	tel2 := NewTelemetry()
-	p2 := Pool{Workers: 1, Telemetry: tel2}
-	if err := p2.MapN(context.Background(), 1, func(context.Context, int) error {
+	p := Pool{Workers: 1, Telemetry: tel}
+	if err := p.MapN(context.Background(), 1, func(context.Context, int) error {
 		return errors.New("fatal")
 	}); err == nil {
 		t.Fatal("expected error")
 	}
-	if s := tel2.Stats(); s.CellsFailed != 1 || s.CellsDone != 0 {
+	if s := tel.Stats(); s.CellsFailed != 1 || s.CellsDone != 0 {
 		t.Errorf("done/failed = %d/%d, want 0/1", s.CellsDone, s.CellsFailed)
 	}
 }

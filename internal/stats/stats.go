@@ -48,25 +48,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Covariance returns the population covariance of xs and ys.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	if len(xs) == 0 {
-		return 0, ErrShortSeries
-	}
-	mx, my := Mean(xs), Mean(ys)
-	sum := 0.0
-	for i := range xs {
-		sum += (xs[i] - mx) * (ys[i] - my)
-	}
-	return sum / float64(len(xs)), nil
-}
-
 // Pearson returns the Pearson correlation coefficient between xs and
 // ys. A constant series has zero variance; the correlation is then
 // defined as 0, matching the paper's treatment of num-subwarp = 32
@@ -91,16 +72,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// MustPearson is Pearson for callers that have already validated their
-// inputs (equal-length, n >= 2); it panics on error.
-func MustPearson(xs, ys []float64) float64 {
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Center writes ys - mean(ys) into dst (which must have the same

@@ -18,9 +18,6 @@ func TestMeanVariance(t *testing.T) {
 	if v := Variance(xs); v != 4 {
 		t.Errorf("Variance = %v, want 4", v)
 	}
-	if s := StdDev(xs); s != 2 {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
@@ -29,11 +26,11 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestCovarianceErrors(t *testing.T) {
-	if _, err := Covariance([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
+func TestPearsonErrors(t *testing.T) {
+	if _, err := Pearson([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
 		t.Errorf("want ErrLengthMismatch, got %v", err)
 	}
-	if _, err := Covariance(nil, nil); err != ErrShortSeries {
+	if _, err := Pearson([]float64{1}, []float64{2}); err != ErrShortSeries {
 		t.Errorf("want ErrShortSeries, got %v", err)
 	}
 }
@@ -109,15 +106,6 @@ func TestPearsonBounds(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMustPearsonPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustPearson with mismatched lengths did not panic")
-		}
-	}()
-	MustPearson([]float64{1}, []float64{1, 2})
 }
 
 func TestNormalQuantileKnown(t *testing.T) {

@@ -90,8 +90,8 @@ type Model struct {
 
 	// freqClasses caches the frequency-class enumeration (partition
 	// classes of N over R blocks with their exact probabilities),
-	// which every RTS-based ρ shares. freqOnce builds it on first use:
-	// one Model serves concurrent sweep cells.
+	// which every RTS-based ρ shares. freqOnce builds it on first use,
+	// so one Model may serve concurrent callers.
 	freqOnce    sync.Once
 	freqClasses []freqClass
 	// binom caches Pascal's triangle up to N as float64: the coverProb

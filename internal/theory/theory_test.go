@@ -258,9 +258,9 @@ func TestPanicsOnBadM(t *testing.T) {
 	}
 }
 
-// TestModelConcurrentRho: one Model serves concurrent sweep cells (the
-// experiments' hybrid mode shares a single instance), so its lazily
-// built frequency-class cache must be filled exactly once. A racing
+// TestModelConcurrentRho: a Model is safe to share across goroutines,
+// so its lazily built frequency-class cache must be filled exactly
+// once. A racing
 // fill duplicated classes and returned a ρ far outside [-1, 1]; run
 // under -race this also catches the unsynchronized write itself.
 func TestModelConcurrentRho(t *testing.T) {
