@@ -55,11 +55,10 @@ chaos:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-# Differential-equivalence harness for the simulation accelerators
-# (trace cache, copy-on-write prefix forking): both must be
-# byte-invisible. EQUIV_SHORT=1 runs the PR-sized grid; unset runs the
-# full 6-mechanism x 3-subwarp-count x 3-seed matrix (the main-branch
-# gate).
+# Differential-equivalence harness for the simulation accelerator:
+# copy-on-write prefix forking must be byte-invisible. EQUIV_SHORT=1
+# runs the PR-sized grid; unset runs the full 6-mechanism x
+# 3-subwarp-count x 3-seed matrix (the main-branch gate).
 equiv:
 	$(GO) test $(if $(EQUIV_SHORT),-short) -v -count=1 ./internal/equiv/
 
@@ -82,11 +81,10 @@ bench:
 
 # Machine-readable benchmark report. Set BENCH_BASELINE to a previous
 # raw `go test -bench` log to record before/after speedups alongside
-# the fresh numbers. The accelerator X/XVanilla pairs are joined
-# within the run and gated: the prefix-forked sweep must hold >= 2x,
-# the trace-cached collect must stay within noise of vanilla.
+# the fresh numbers. The accelerator X/XVanilla pair is joined within
+# the run and gated: the prefix-forked sweep must hold >= 2x.
 BENCHTIME ?= 1s
-MIN_SPEEDUPS = SelectiveMechanismSweep:2.0,TraceCachedCollect:0.85
+MIN_SPEEDUPS = SelectiveMechanismSweep:2.0
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=$(BENCHTIME) -benchmem -count=1 . > bench_raw.txt
 	$(GO) run ./cmd/rcoal-benchjson -gpu-metrics $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \

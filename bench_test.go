@@ -14,6 +14,7 @@ import (
 	"rcoal/internal/aes"
 	"rcoal/internal/attack"
 	"rcoal/internal/core"
+	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/kernels"
 	"rcoal/internal/rng"
@@ -78,69 +79,56 @@ func BenchmarkExtSharedMemory(b *testing.B)      { runExperimentBench(b, "ext-sh
 
 // --- Accelerator benchmarks ---------------------------------------------------
 
-// The X / XVanilla pairs below measure the same workload with the
-// exact accelerators on and off; rcoal-benchjson -join-variant Vanilla
-// turns each pair into a before/after entry with a speedup, and CI
-// gates on it with -min-speedup (see Makefile `bench-json`). Workers
-// is pinned to 1 so the join measures the accelerators, not the pool.
+// The X / XVanilla pair below measures the selective-RCoal mechanism
+// sweep with and without copy-on-write prefix forking; rcoal-benchjson
+// -join-variant Vanilla turns it into a before/after entry with a
+// speedup, and CI gates on it with -min-speedup (see Makefile
+// `bench-json`). Workers is pinned to 1 so the join measures forking,
+// not the pool.
 
-// benchSelectiveSweep runs the selective-RCoal mechanism sweep — the
-// prefix-fork target workload — once per iteration. A fresh cache per
-// iteration mirrors one CLI -accel invocation.
-func benchSelectiveSweep(b *testing.B, accel bool) {
-	b.Helper()
+const selectiveSweepBenchSamples = 6
+
+// BenchmarkSelectiveMechanismSweep runs ext-selective-sweep, which
+// forks each sample's mechanism-independent prefix across the grid.
+func BenchmarkSelectiveMechanismSweep(b *testing.B) {
 	o := DefaultExperimentOptions()
-	o.Samples = 6
+	o.Samples = selectiveSweepBenchSamples
 	o.Workers = 1
 	for i := 0; i < b.N; i++ {
-		if accel {
-			o.ForkPrefix = true
-			o.TraceCache = NewTraceCache()
-		}
 		if _, err := RunExperiment("ext-selective-sweep", o); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSelectiveMechanismSweep(b *testing.B)        { benchSelectiveSweep(b, true) }
-func BenchmarkSelectiveMechanismSweepVanilla(b *testing.B) { benchSelectiveSweep(b, false) }
-
-// benchTraceCachedCollect measures the cache's real workload: two
-// grid cells (servers under different mechanisms) replaying the same
-// plaintext stream, so the second cell's builds all hit. The vanilla
-// variant rebuilds every trace; CI gates the pair at "not slower"
-// (the first cell's misses pay the keying overhead).
-func benchTraceCachedCollect(b *testing.B, cached bool) {
-	b.Helper()
-	servers := make([]*Server, 2)
-	for i, policy := range []Mechanism{FSS(4), RSSRTS(4)} {
-		cfg := DefaultGPUConfig()
-		cfg.Defense = policy
-		srv, err := NewServer(cfg, []byte("RCoal eval key 1"))
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkSelectiveMechanismSweepVanilla collects the same grid
+// without forking: one Server.Collect per policy, each simulating
+// every sample from the first round.
+func BenchmarkSelectiveMechanismSweepVanilla(b *testing.B) {
+	o := DefaultExperimentOptions()
+	// The ext-selective-sweep grid: the whole-warp baseline, then every
+	// mechanism at each registered num-subwarp.
+	policies := []Mechanism{experiments.MechFSS.Policy(1)}
+	for _, mech := range experiments.AllMechanisms {
+		for _, m := range []int{2, 4, 8, 32} {
+			policies = append(policies, mech.Policy(m))
 		}
-		servers[i] = srv
 	}
-	b.ResetTimer()
+	cfg := DefaultGPUConfig()
+	cfg.VulnerableRounds = []int{experiments.SelectiveSweepVulnerableRound}
 	for i := 0; i < b.N; i++ {
-		if cached {
-			tc := NewTraceCache()
-			for _, srv := range servers {
-				srv.SetTraceCache(tc)
+		for _, p := range policies {
+			cfg.Defense = p
+			srv, err := NewServer(cfg, o.Key)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		for _, srv := range servers {
-			if _, err := srv.Collect(4, 32, uint64(i+1)); err != nil {
+			if _, err := srv.Collect(selectiveSweepBenchSamples, o.Lines, o.Seed); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
-
-func BenchmarkTraceCachedCollect(b *testing.B)        { benchTraceCachedCollect(b, true) }
-func BenchmarkTraceCachedCollectVanilla(b *testing.B) { benchTraceCachedCollect(b, false) }
 
 // --- Micro-benchmarks: building blocks ---------------------------------------
 

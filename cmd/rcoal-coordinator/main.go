@@ -40,7 +40,6 @@ import (
 	"rcoal/internal/checkpoint"
 	"rcoal/internal/dist"
 	"rcoal/internal/experiments"
-	"rcoal/internal/kernels"
 	"rcoal/internal/obs"
 )
 
@@ -57,7 +56,6 @@ func main() {
 		resume   = flag.Bool("resume", false, "resume from existing ledgers: journaled cells restore, journaled leases stay stale-detectable")
 		cdir     = flag.String("cache", "", "directory for the fingerprint-keyed results cache; cells computed by any prior sweep under identical options are restored instead of leased")
 		par      = flag.Int("parallel", 1, "experiments whose grids are open for leasing concurrently")
-		accel    = flag.Bool("accel", false, "lease cells with the exact accelerators enabled on workers (results are byte-identical)")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry; the filter travels in each lease")
 		leaseTO  = flag.Duration("lease-timeout", 2*time.Minute, "silence budget per lease before the cell is re-issued to another worker; holders renew long computations via /lease/renew")
 		hb       = flag.Duration("heartbeat", 0, "period of the live status line on stderr (cells done, cache hit/miss, workers, rate, eta); 0 = off")
@@ -87,13 +85,6 @@ func main() {
 		for _, spec := range strings.Split(*mechs, ",") {
 			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
 		}
-	}
-	if *accel {
-		// The coordinator never simulates, but a non-nil trace cache is
-		// how Options carries "accelerate" to dist.WireFrom; workers
-		// build their own shared cache per process.
-		opts.TraceCache = kernels.NewTraceCache()
-		opts.ForkPrefix = true
 	}
 
 	// Observability plane: one trace id for the whole sweep, minted
@@ -194,7 +185,7 @@ func main() {
 		err     error
 	}
 	results := make([]outcome, len(ids))
-	sem := make(chan struct{}, maxInt(1, *par))
+	sem := make(chan struct{}, max(1, *par))
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
@@ -289,11 +280,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rcoal-coordinator: done; served %d worker(s)\n", len(st.Workers))
 	}
 	os.Exit(exit)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,6 @@
 //	rcoal-experiments -run all -samples 100 -seed 7
 //	rcoal-experiments -run all -journal ckpt          # checkpoint finished cells
 //	rcoal-experiments -run all -journal ckpt -resume  # skip journaled cells
-//	rcoal-experiments -run all -accel                 # trace cache + prefix forking (byte-identical)
 //	rcoal-experiments -run all -cache cachedir        # reuse cells from any prior identical sweep
 //	rcoal-experiments -worker http://host:8077        # compute cells for a rcoal-coordinator
 package main
@@ -37,7 +36,6 @@ import (
 	"rcoal/internal/experiments"
 	"rcoal/internal/gpusim"
 	"rcoal/internal/gpusim/tracevis"
-	"rcoal/internal/kernels"
 	"rcoal/internal/obs"
 	"rcoal/internal/runner"
 )
@@ -60,7 +58,6 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a Chrome/Perfetto trace of every simulated launch to this file (large; best with a single small experiment)")
 		hb       = flag.Duration("heartbeat", 0, "period of the live telemetry line on stderr (cells done, rate, eta, worker utilization); 0 = off")
 		maddr    = flag.String("metrics-addr", "", "serve live run telemetry as Prometheus text at this address (e.g. localhost:6060, scraped at /metrics)")
-		accel    = flag.Bool("accel", false, "enable the exact accelerators: per-run trace caching plus copy-on-write prefix forking where applicable (results are byte-identical)")
 		cdir     = flag.String("cache", "", "directory for the fingerprint-keyed results cache: cells computed by any prior sweep under identical result-determining options are restored instead of re-run")
 		mechs    = flag.String("mechanisms", "", "comma-separated defense specs restricting mechanism-enumerating experiments (ext-defense-frontier), e.g. \"baseline,rss+rts:8,delay:64\"; empty = full registry")
 		worker   = flag.String("worker", "", "run as a distributed worker for the rcoal-coordinator at this base URL (e.g. http://host:8077) instead of running experiments locally; -workers bounds concurrent cells")
@@ -112,12 +109,6 @@ func main() {
 		for _, spec := range strings.Split(*mechs, ",") {
 			opts.Mechanisms = append(opts.Mechanisms, strings.TrimSpace(spec))
 		}
-	}
-	if *accel {
-		// One cache for the whole invocation: experiments share the key
-		// and plaintext streams, so cross-experiment hits are real.
-		opts.TraceCache = kernels.NewTraceCache()
-		opts.ForkPrefix = true
 	}
 
 	var exporter *tracevis.Exporter
@@ -283,13 +274,6 @@ func main() {
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", id, results[i].elapsed, results[i].report)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // workerConfig bundles the worker-mode flags.

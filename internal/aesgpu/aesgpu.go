@@ -23,16 +23,7 @@ import (
 type Server struct {
 	gpu    *gpusim.GPU
 	cipher *aes.Cipher
-	// cache, when installed, memoizes kernel construction so repeated
-	// (plaintext, key) samples — e.g. grid cells differing only in
-	// mechanism — share one trace build. Purely an accelerator: cached
-	// and uncached serving are byte-identical.
-	cache *kernels.TraceCache
 }
-
-// SetTraceCache installs (or, with nil, removes) a trace cache. The
-// cache may be shared across servers and goroutines.
-func (s *Server) SetTraceCache(tc *kernels.TraceCache) { s.cache = tc }
 
 // NewServer builds a server simulating the given GPU configuration
 // with the given AES key (16, 24, or 32 bytes).
@@ -100,20 +91,11 @@ type Sample struct {
 // launch's hardware randomness; callers give every sample a distinct
 // seed.
 func (s *Server) Encrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
-	kernel, cts, err := s.buildEncrypt(lines)
+	kernel, cts, err := kernels.Build(s.cipher, lines)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(kernel, cts, seed)
-}
-
-// buildEncrypt constructs (or fetches from the trace cache) the
-// encryption kernel for lines.
-func (s *Server) buildEncrypt(lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
-	if s.cache != nil {
-		return s.cache.Build(s.cipher, lines)
-	}
-	return kernels.Build(s.cipher, lines)
 }
 
 // Dataset is a collection of timing samples for a fixed server: the

@@ -24,9 +24,8 @@ import (
 // The returned datasets are ordered like mechs, and each is
 // byte-identical to what a per-mechanism Server.Collect with the same
 // (nSamples, linesPer, seed) would produce — the contract
-// fork_test.go here and internal/equiv enforce. tc, when non-nil,
-// additionally memoizes trace construction.
-func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, nSamples, linesPer int, seed uint64, tc *kernels.TraceCache) ([]*Dataset, error) {
+// fork_test.go here and internal/equiv enforce.
+func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, nSamples, linesPer int, seed uint64) ([]*Dataset, error) {
 	if nSamples <= 0 || linesPer <= 0 {
 		return nil, fmt.Errorf("aesgpu: need positive samples (%d) and lines (%d)", nSamples, linesPer)
 	}
@@ -53,13 +52,6 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 		}
 	}
 
-	build := func(lines []kernels.Line) (*gpusim.Kernel, []kernels.Line, error) {
-		if tc != nil {
-			return tc.Build(cipher, lines)
-		}
-		return kernels.Build(cipher, lines)
-	}
-
 	// Mirror Collect exactly: same plaintext stream, same per-sample
 	// hardware seed derivation.
 	ptRNG := rng.New(seed).Split(1)
@@ -70,7 +62,7 @@ func ForkedCollect(cfg gpusim.Config, key []byte, mechs []mechanism.Mechanism, n
 	}
 	for n := 0; n < nSamples; n++ {
 		lines := kernels.RandomPlaintext(ptRNG, linesPer)
-		kernel, cts, err := build(lines)
+		kernel, cts, err := kernels.Build(cipher, lines)
 		if err != nil {
 			return nil, err
 		}

@@ -23,14 +23,7 @@ import (
 // Decrypt runs one GPU decryption request: Sample.Ciphertexts holds
 // the *recovered plaintext* lines (the kernel's output).
 func (s *Server) Decrypt(lines []kernels.Line, seed uint64) (*Sample, error) {
-	var kernel *gpusim.Kernel
-	var pts []kernels.Line
-	var err error
-	if s.cache != nil {
-		kernel, pts, err = s.cache.BuildDecrypt(s.cipher, lines)
-	} else {
-		kernel, pts, err = kernels.BuildDecrypt(s.cipher, lines)
-	}
+	kernel, pts, err := kernels.BuildDecrypt(s.cipher, lines)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +49,7 @@ func (s *Server) EncryptCTR(nonce uint64, lines []kernels.Line, seed uint64) (*C
 		binary.BigEndian.PutUint64(counters[i][:8], nonce)
 		binary.BigEndian.PutUint64(counters[i][8:], uint64(i))
 	}
-	kernel, keystream, err := s.buildEncrypt(counters)
+	kernel, keystream, err := kernels.Build(s.cipher, counters)
 	if err != nil {
 		return nil, err
 	}

@@ -15,16 +15,13 @@ import (
 
 	"rcoal/internal/checkpoint"
 	"rcoal/internal/experiments"
-	"rcoal/internal/kernels"
 	"rcoal/internal/obs"
 	"rcoal/internal/rng"
 )
 
 // Worker pulls leases from a coordinator, recomputes each leased cell
 // with experiments.ComputeCell, and reports the bytes back. One Worker
-// value drives Concurrency goroutines sharing a single trace cache, so
-// accelerated leases amortize kernel construction across cells exactly
-// as a local accelerated sweep does.
+// value drives Concurrency goroutines.
 //
 // The transport is hardened for hostile networks (see internal/chaos
 // for the fault layer that soaks it): every request carries a timeout,
@@ -85,11 +82,6 @@ type Worker struct {
 	// Compute overrides cell computation (tests). nil means
 	// experiments.ComputeCell with panic recovery.
 	Compute func(id string, o experiments.Options, key string) (json.RawMessage, error)
-
-	// traceCache is shared by all goroutines of this worker; built
-	// lazily on the first accelerated lease.
-	cacheOnce  sync.Once
-	traceCache *kernels.TraceCache
 
 	// pollWaitMS is the coordinator's last PollWait hint, the floor
 	// for error backoff.
@@ -706,10 +698,6 @@ func (w *Worker) compute(g *LeaseGrant) (raw json.RawMessage, err error) {
 	o, err := g.Options.Options()
 	if err != nil {
 		return nil, err
-	}
-	if g.Options.Accel {
-		w.cacheOnce.Do(func() { w.traceCache = kernels.NewTraceCache() })
-		o.TraceCache = w.traceCache
 	}
 	if w.Compute != nil {
 		return w.Compute(g.Experiment, o, g.Key)

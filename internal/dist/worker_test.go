@@ -449,3 +449,37 @@ func TestStatusLivenessAndBacklog(t *testing.T) {
 		t.Fatal("closed server's batch reported success")
 	}
 }
+
+// TestLegacyAccelGrantComputesSameBytes covers a mixed fleet: older
+// coordinators still send "accel":true in lease grants, a field this
+// worker no longer knows. Such a grant must decode, and the worker
+// must compute the same cell bytes as for a grant without the field.
+func TestLegacyAccelGrantComputesSameBytes(t *testing.T) {
+	const opts = `"samples":4,"lines":4,"seed":7,"key_hex":"52436f616c206576616c206b65792031"`
+	decode := func(body string) *LeaseGrant {
+		t.Helper()
+		var lr LeaseResponse
+		if err := json.Unmarshal([]byte(body), &lr); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		if lr.Lease == nil {
+			t.Fatalf("no lease in %s", body)
+		}
+		return lr.Lease
+	}
+	legacy := decode(`{"lease":{"experiment":"fig7","key":"fss/2","seq":1,"options":{` + opts + `,"accel":true}}}`)
+	plain := decode(`{"lease":{"experiment":"fig7","key":"fss/2","seq":1,"options":{` + opts + `}}}`)
+
+	w := &Worker{}
+	want, err := w.compute(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.compute(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || string(got) != string(want) {
+		t.Errorf("legacy accel grant computed %s, want %s", got, want)
+	}
+}

@@ -81,24 +81,13 @@ type Options struct {
 	// launch the experiment performs — install a *tracevis.Exporter to
 	// dump a Perfetto-loadable trace of the whole run. The sink must be
 	// safe for concurrent use unless Workers is 1; expect large volumes
-	// (every issue, transaction, and reply of every sample).
+	// (every issue, transaction, and reply of every sample). A sink
+	// also keeps SelectiveSweep off its prefix-forked path, which the
+	// simulator cannot trace.
 	Trace gpusim.TraceSink
 	// Telemetry, when non-nil, aggregates live per-cell runtime stats
 	// (timing, throughput) from the experiment's worker pools.
 	Telemetry *runner.Telemetry
-	// TraceCache, when non-nil, memoizes per-plaintext AES trace
-	// construction across cells (kernels.TraceCache). Cells of a grid
-	// differing only in mechanism/subwarp count replay identical
-	// plaintext streams, so the cache collapses their kernel builds to
-	// one. Purely an accelerator: results stay byte-identical.
-	TraceCache *kernels.TraceCache
-	// ForkPrefix routes eligible collection loops through
-	// copy-on-write prefix forking (aesgpu.ForkedCollect): the
-	// mechanism-independent prefix of each sample is simulated once
-	// and forked per mechanism configuration. Only honored by
-	// experiments whose cells are selective-RCoal with shared
-	// plaintext streams (ext-selective-sweep); byte-identical results.
-	ForkPrefix bool
 	// Mechanisms, when non-empty, restricts mechanism-enumerating
 	// experiments (currently ext-defense-frontier) to the given defense
 	// specs (mechanism.Parse grammar, e.g. "rss+rts:8", "delay:64").
@@ -203,21 +192,9 @@ func (m Mechanism) Policy(subwarps int) mechanism.Mechanism {
 // collect runs the encryption server under the given defense and
 // gathers the attacker's dataset.
 func collect(o Options, defense mechanism.Mechanism) (*aesgpu.Server, *aesgpu.Dataset, error) {
-	if err := o.validate(); err != nil {
-		return nil, nil, err
-	}
 	cfg := o.gpuConfig()
 	cfg.Defense = defense
-	srv, err := aesgpu.NewServer(cfg, o.Key)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv.SetTraceCache(o.TraceCache)
-	ds, err := srv.Collect(o.Samples, o.Lines, o.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, ds, nil
+	return collectCfg(o, cfg)
 }
 
 // ciphertexts extracts the attacker-visible ciphertext matrix.

@@ -29,7 +29,7 @@ func init() {
 	Registry["ext-rssdist"] = func(o Options) (Result, error) { return ExtRSSDist(o) }
 }
 
-// collectCfg is like collect but takes a fully specified GPU config.
+// collectCfg is collect under a fully specified GPU config.
 func collectCfg(o Options, cfg gpusim.Config) (*aesgpu.Server, *aesgpu.Dataset, error) {
 	if err := o.validate(); err != nil {
 		return nil, nil, err
@@ -38,7 +38,6 @@ func collectCfg(o Options, cfg gpusim.Config) (*aesgpu.Server, *aesgpu.Dataset, 
 	if err != nil {
 		return nil, nil, err
 	}
-	srv.SetTraceCache(o.TraceCache)
 	ds, err := srv.Collect(o.Samples, o.Lines, o.Seed)
 	if err != nil {
 		return nil, nil, err

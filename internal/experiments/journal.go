@@ -17,10 +17,10 @@ import (
 // configurations, so checkpoint.Resume rejects the mismatch. The same
 // fingerprint keys the cross-sweep results cache (OpenCache).
 //
-// The accelerators (trace cache, prefix forking) are deliberately NOT
-// part of the fingerprint — they are byte-identical by the
-// internal/equiv contract, so accelerated and vanilla runs may share
-// journals and cache entries.
+// Which collection path a run takes (prefix-forked or per-policy) is
+// deliberately NOT part of the fingerprint — the paths are
+// byte-identical by the internal/equiv contract, so traced and
+// untraced runs may share journals and cache entries.
 type journalMeta struct {
 	Experiment string `json:"experiment"`
 	Samples    int    `json:"samples"`
